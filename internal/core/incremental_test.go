@@ -274,7 +274,7 @@ func TestResynthesizeCacheBehavior(t *testing.T) {
 }
 
 // benchPolicy builds an n-tenant policy across 32-wide shared tiers.
-func benchPolicy(b *testing.B, n int) ([]*Tenant, *policy.Spec) {
+func benchPolicy(tb testing.TB, n int) ([]*Tenant, *policy.Spec) {
 	tenants := make([]*Tenant, n)
 	var sb strings.Builder
 	for i := range tenants {
@@ -296,7 +296,7 @@ func benchPolicy(b *testing.B, n int) ([]*Tenant, *policy.Spec) {
 	}
 	spec, err := policy.Parse(sb.String())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return tenants, spec
 }

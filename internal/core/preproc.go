@@ -72,19 +72,19 @@ type Preprocessor struct {
 	stats  PreprocStats
 	obs    *preprocObs
 
-	// flat is the joint policy compiled to a dense per-tenant transform
-	// array for the batched path (see ApplyBatch); nil when the tenant ID
-	// range is too sparse to justify a dense table.
+	// flat is the joint policy compiled to a per-tenant slot table, the
+	// only thing Process and ApplyBatch read to rewrite a rank.
 	flat *flatTable
 	// dropScratch is ApplyBatch's reusable staging area for dropped
 	// packets, so the batched path stays allocation-free in steady state.
 	dropScratch []*pkt.Packet
 }
 
-// flatTransform is one slot of the dense transform table: Transform's
-// fields pre-resolved (weight defaulted, quantization regime chosen, the
+// flatTransform is one slot of the transform table: Transform's fields
+// pre-resolved (weight defaulted, quantization regime chosen, the
 // degenerate span/levels cases folded into m=0/div=1) so the per-packet
-// rewrite is branch-free arithmetic with no map access.
+// rewrite is branch-free arithmetic with no map access, plus the tenant's
+// metric handles when the pre-processor is instrumented.
 type flatTransform struct {
 	lo, hi   int64 // original clamp bounds (for the Clamped counter)
 	span     int64 // hi-lo: upper clamp of d
@@ -97,47 +97,78 @@ type flatTransform struct {
 	floatQ   bool  // quantize via the monotone float fallback
 	isConst  bool  // degenerate quantizer (span ≤ 0 or Levels ≤ 1)
 	valid    bool  // false = no transform for this tenant slot
+
+	// name is the tenant label value the handles below were resolved
+	// under; all four are zero on an uninstrumented pre-processor.
+	name      string
+	processed *obs.Counter
+	clamped   *obs.Counter
+	shift     *obs.Histogram
 }
 
-// flatTable is the compiled joint policy: slot i holds the transform of
-// tenant min+i.
+// flatTable is the compiled joint policy. A dense table (index nil) holds
+// the transform of tenant min+i in slot i; a table over an ID range wider
+// than maxFlatTenantSpan holds one slot per tenant and maps IDs to slots
+// through index.
 type flatTable struct {
 	min   pkt.TenantID
 	slots []flatTransform
+	index map[pkt.TenantID]int
 }
 
 // maxFlatTenantSpan bounds the dense table: a tenant ID range wider than
 // this (possible only with adversarially sparse IDs — synthesis assigns
-// them densely) falls back to the map-based per-packet path.
+// them densely) is looked up through an ID-to-slot map instead.
 const maxFlatTenantSpan = 1 << 14
 
-// buildFlatTable compiles the joint policy's transform map into the dense
-// array, or returns nil when the ID range exceeds maxFlatTenantSpan.
-func buildFlatTable(jp *JointPolicy) *flatTable {
+// slot returns tenant id's slot, or nil when the policy has no transform
+// for it.
+func (t *flatTable) slot(id pkt.TenantID) *flatTransform {
+	if t.index != nil {
+		return t.sparseSlot(id)
+	}
+	if i := int(id) - int(t.min); uint(i) < uint(len(t.slots)) && t.slots[i].valid {
+		return &t.slots[i]
+	}
+	return nil
+}
+
+// sparseSlot is slot's map lookup, kept out of slot so the dense lookup
+// inlines into Process.
+func (t *flatTable) sparseSlot(id pkt.TenantID) *flatTransform {
+	if i, ok := t.index[id]; ok {
+		return &t.slots[i]
+	}
+	return nil
+}
+
+// buildFlatTable compiles the joint policy's transform map into slots.
+// With o non-nil each slot also gets its tenant's metric handles, carried
+// over from prev's slot when the tenant kept its ID and name.
+func buildFlatTable(jp *JointPolicy, o *preprocObs, prev *flatTable) *flatTable {
+	t := &flatTable{}
 	if jp == nil || len(jp.Transforms) == 0 {
-		return nil
+		return t
 	}
-	first := true
-	var min, max pkt.TenantID
+	lo, hi := ^pkt.TenantID(0), pkt.TenantID(0)
 	for id := range jp.Transforms {
-		if first {
-			min, max = id, id
-			first = false
-			continue
-		}
-		if id < min {
-			min = id
-		}
-		if id > max {
-			max = id
-		}
+		lo, hi = min(lo, id), max(hi, id)
 	}
-	if int(max-min) >= maxFlatTenantSpan {
-		return nil
+	if int(hi-lo) < maxFlatTenantSpan {
+		t.min, t.slots = lo, make([]flatTransform, int(hi-lo)+1)
+	} else {
+		t.slots = make([]flatTransform, 0, len(jp.Transforms))
+		t.index = make(map[pkt.TenantID]int, len(jp.Transforms))
 	}
-	ft := &flatTable{min: min, slots: make([]flatTransform, int(max-min)+1)}
 	for id, tr := range jp.Transforms {
-		s := &ft.slots[id-min]
+		var s *flatTransform
+		if t.index == nil {
+			s = &t.slots[id-lo]
+		} else {
+			t.index[id] = len(t.slots)
+			t.slots = append(t.slots, flatTransform{})
+			s = &t.slots[len(t.slots)-1]
+		}
 		s.lo, s.hi = tr.Lo, tr.Hi
 		s.w = 1
 		if tr.Weight > 0 {
@@ -161,8 +192,11 @@ func buildFlatTable(jp *JointPolicy) *flatTable {
 			s.floatQ = m > (1<<62)/(span+1)
 		}
 		s.valid = true
+		if o != nil {
+			o.resolve(s, id, prev)
+		}
 	}
-	return ft
+	return t
 }
 
 // Metric families exported by an instrumented pre-processor.
@@ -173,62 +207,59 @@ const (
 	MetricPreprocRankShift = "qvisor_preproc_rank_shift"
 )
 
-// preprocObs holds the registry-backed instruments of one pre-processor:
-// per-tenant counters plus a rank-shift magnitude histogram, resolved to
-// direct handles per tenant ID so the per-packet cost is one map lookup.
+// preprocObs is the registry an instrumented pre-processor resolves its
+// per-tenant handles from (they live in the flat table's slots), plus the
+// unknown-tenant counter.
 type preprocObs struct {
 	reg     *obs.Registry
 	nameOf  func(pkt.TenantID) string
 	unknown *obs.Counter
-	tenants map[pkt.TenantID]preprocTenantObs
 }
 
-type preprocTenantObs struct {
-	processed *obs.Counter
-	clamped   *obs.Counter
-	shift     *obs.Histogram
+// resolve gives slot s tenant id's handles: the previous table's when the
+// tenant kept its name there, otherwise the registry's.
+func (o *preprocObs) resolve(s *flatTransform, id pkt.TenantID, prev *flatTable) {
+	s.name = o.nameOf(id)
+	if prev != nil {
+		if ps := prev.slot(id); ps != nil && ps.name == s.name {
+			s.processed, s.clamped, s.shift = ps.processed, ps.clamped, ps.shift
+			return
+		}
+	}
+	l := obs.L("tenant", s.name)
+	s.processed = o.reg.Counter(MetricPreprocProcessed,
+		"Packets whose rank the pre-processor rewrote.", l)
+	s.clamped = o.reg.Counter(MetricPreprocClamped,
+		"Packets whose incoming rank fell outside the tenant's declared bounds.", l)
+	s.shift = o.reg.Histogram(MetricPreprocRankShift,
+		"Absolute rank-rewrite magnitude |joint - tenant| (log2 buckets).", l)
 }
 
 // EnableMetrics mirrors the pre-processor's counters into reg, labeled per
 // tenant. nameOf maps tenant IDs to the names used as label values; nil
 // falls back to "tenant-<id>". A nil registry disables instrumentation
-// (the default, zero-overhead state). The instrument table is rebuilt on
-// every Update so re-synthesized policies keep their series.
+// (the default, zero-overhead state). Each Update keeps the handles of
+// tenants whose ID and name are unchanged and resolves the rest, so
+// re-synthesized policies keep their series.
 func (pp *Preprocessor) EnableMetrics(reg *obs.Registry, nameOf func(pkt.TenantID) string) {
-	if reg == nil {
-		pp.obs = nil
-		return
-	}
-	if nameOf == nil {
-		nameOf = func(id pkt.TenantID) string { return fmt.Sprintf("tenant-%d", id) }
-	}
-	pp.obs = &preprocObs{
-		reg:    reg,
-		nameOf: nameOf,
-		unknown: reg.Counter(MetricPreprocUnknown,
-			"Packets whose tenant label has no transformation."),
-	}
-	pp.obs.rebuild(pp.jp)
-}
-
-func (o *preprocObs) rebuild(jp *JointPolicy) {
-	o.tenants = make(map[pkt.TenantID]preprocTenantObs, len(jp.Transforms))
-	for id := range jp.Transforms {
-		l := obs.L("tenant", o.nameOf(id))
-		o.tenants[id] = preprocTenantObs{
-			processed: o.reg.Counter(MetricPreprocProcessed,
-				"Packets whose rank the pre-processor rewrote.", l),
-			clamped: o.reg.Counter(MetricPreprocClamped,
-				"Packets whose incoming rank fell outside the tenant's declared bounds.", l),
-			shift: o.reg.Histogram(MetricPreprocRankShift,
-				"Absolute rank-rewrite magnitude |joint - tenant| (log2 buckets).", l),
+	pp.obs = nil
+	if reg != nil {
+		if nameOf == nil {
+			nameOf = func(id pkt.TenantID) string { return fmt.Sprintf("tenant-%d", id) }
+		}
+		pp.obs = &preprocObs{
+			reg:    reg,
+			nameOf: nameOf,
+			unknown: reg.Counter(MetricPreprocUnknown,
+				"Packets whose tenant label has no transformation."),
 		}
 	}
+	pp.flat = buildFlatTable(pp.jp, pp.obs, nil)
 }
 
 // NewPreprocessor returns a pre-processor executing the given joint policy.
 func NewPreprocessor(jp *JointPolicy, action UnknownTenantAction) *Preprocessor {
-	return &Preprocessor{jp: jp, action: action, flat: buildFlatTable(jp)}
+	return &Preprocessor{jp: jp, action: action, flat: buildFlatTable(jp, nil, nil)}
 }
 
 // Policy returns the joint policy currently deployed.
@@ -238,10 +269,7 @@ func (pp *Preprocessor) Policy() *JointPolicy { return pp.jp }
 // new transformations — the event-driven reconfiguration of §2 (Idea 2).
 func (pp *Preprocessor) Update(jp *JointPolicy) {
 	pp.jp = jp
-	pp.flat = buildFlatTable(jp)
-	if pp.obs != nil {
-		pp.obs.rebuild(jp)
-	}
+	pp.flat = buildFlatTable(jp, pp.obs, pp.flat)
 }
 
 // Stats returns a snapshot of the counters.
@@ -273,123 +301,85 @@ func (pp *Preprocessor) Absorb(st PreprocStats) {
 // Process rewrites p.Rank according to the joint policy. It returns false
 // if the packet must be dropped (unknown tenant under UnknownDrop).
 func (pp *Preprocessor) Process(p *pkt.Packet) bool {
-	tr, ok := pp.jp.Transforms[p.Tenant]
-	if !ok {
-		pp.stats.Unknown++
-		if pp.obs != nil {
-			pp.obs.unknown.Inc()
-		}
-		switch pp.action {
-		case UnknownPass:
-			return true
-		case UnknownDrop:
-			return false
-		default: // UnknownWorst
-			p.Rank = pp.jp.Output.Hi + 1
-			return true
-		}
+	s := pp.flat.slot(p.Tenant)
+	if s == nil {
+		return pp.unknown(p)
 	}
-	clamped := p.Rank < tr.Lo || p.Rank > tr.Hi
+	// The rewrite is byte-identical to Transform.Apply. The clamp is
+	// folded into the clamp-statistics check: in-range ranks (the hot
+	// path) take one predicted-not-taken compare and a subtraction, and
+	// out-of-range ranks pin d to the boundary without ever subtracting
+	// (overflow-safe for extreme ranks, matching Quantize's
+	// clamp-before-subtract order).
+	in := p.Rank
+	d := in - s.lo
+	clamped := in < s.lo || in > s.hi
 	if clamped {
 		pp.stats.Clamped++
+		d = 0
+		if in > s.hi {
+			d = s.span
+		}
 	}
-	in := p.Rank
-	p.Rank = tr.Apply(p.Rank)
+	if s.isConst {
+		p.Rank = s.constOut
+	} else {
+		var lvl int64
+		if s.floatQ {
+			lvl = int64(float64(d) / float64(s.span) * float64(s.m))
+			if lvl > s.m {
+				lvl = s.m
+			}
+		} else {
+			lvl = d * s.m / s.span
+		}
+		p.Rank = s.offset + (lvl/s.w)*s.stride + s.phase + lvl%s.w
+	}
 	pp.stats.Processed++
 	if pp.obs != nil {
-		if to, ok := pp.obs.tenants[p.Tenant]; ok {
-			to.processed.Inc()
-			if clamped {
-				to.clamped.Inc()
-			}
-			shift := p.Rank - in
-			if shift < 0 {
-				shift = -shift
-			}
-			to.shift.Observe(shift)
-		}
+		s.count(p.Rank-in, clamped)
 	}
 	return true
 }
 
-// ApplyBatch rewrites the ranks of a whole batch of packets in one pass,
-// byte-identical to calling Process on each packet in order (same ranks,
-// same stats, same drop decisions) but without per-packet map lookups:
-// tenants resolve through the dense flat table and the quantize+placement
-// arithmetic is branch-free (the clamp rides the clamp-statistics check). It returns the number of packets kept:
-// ps[:kept] holds them in their original relative order, ps[kept:] the
-// dropped packets (unknown tenant under UnknownDrop), also in order, for
-// the caller to release. Steady state allocates nothing.
-//
-// The instrumented (EnableMetrics) and sparse-tenant configurations fall
-// back to per-packet Process calls — identical observable behaviour,
-// amortization lost.
-func (pp *Preprocessor) ApplyBatch(ps []*pkt.Packet) int {
-	if pp.flat == nil || pp.obs != nil {
-		return pp.applyBatchSlow(ps)
+// count records one rewrite, by shift = output - input rank, in the
+// tenant's metrics.
+func (s *flatTransform) count(shift int64, clamped bool) {
+	s.processed.Inc()
+	if clamped {
+		s.clamped.Inc()
 	}
-	t := pp.flat
-	unknownRank := pp.jp.Output.Hi + 1
-	kept := 0
-	for _, p := range ps {
-		i := int(p.Tenant) - int(t.min)
-		if i < 0 || i >= len(t.slots) || !t.slots[i].valid {
-			pp.stats.Unknown++
-			switch pp.action {
-			case UnknownPass:
-			case UnknownDrop:
-				pp.dropScratch = append(pp.dropScratch, p)
-				continue
-			default: // UnknownWorst
-				p.Rank = unknownRank
-			}
-			ps[kept] = p
-			kept++
-			continue
-		}
-		s := &t.slots[i]
-		r := p.Rank
-		// The clamp is folded into the mandatory clamp-statistics check:
-		// in-range ranks (the hot path) take one predicted-not-taken
-		// compare and a subtraction, and out-of-range ranks pin d to the
-		// boundary without ever subtracting (overflow-safe for extreme
-		// ranks, matching Quantize's clamp-before-subtract order).
-		d := r - s.lo
-		if r < s.lo || r > s.hi {
-			pp.stats.Clamped++
-			d = 0
-			if r > s.hi {
-				d = s.span
-			}
-		}
-		if s.isConst {
-			p.Rank = s.constOut
-		} else {
-			var lvl int64
-			if s.floatQ {
-				lvl = int64(float64(d) / float64(s.span) * float64(s.m))
-				if lvl > s.m {
-					lvl = s.m
-				}
-			} else {
-				lvl = d * s.m / s.span
-			}
-			p.Rank = s.offset + (lvl/s.w)*s.stride + s.phase + lvl%s.w
-		}
-		pp.stats.Processed++
-		ps[kept] = p
-		kept++
+	if shift < 0 {
+		shift = -shift
 	}
-	if len(pp.dropScratch) > 0 {
-		copy(ps[kept:], pp.dropScratch)
-		pp.dropScratch = pp.dropScratch[:0]
-	}
-	return kept
+	s.shift.Observe(shift)
 }
 
-// applyBatchSlow is ApplyBatch's fallback: per-packet Process calls with
-// the same kept/dropped compaction contract.
-func (pp *Preprocessor) applyBatchSlow(ps []*pkt.Packet) int {
+// unknown applies the unknown-tenant action to p and reports whether p is
+// kept.
+func (pp *Preprocessor) unknown(p *pkt.Packet) bool {
+	pp.stats.Unknown++
+	if pp.obs != nil {
+		pp.obs.unknown.Inc()
+	}
+	switch pp.action {
+	case UnknownPass:
+		return true
+	case UnknownDrop:
+		return false
+	default: // UnknownWorst
+		p.Rank = pp.jp.Output.Hi + 1
+		return true
+	}
+}
+
+// ApplyBatch rewrites the ranks of a whole batch of packets in one pass,
+// byte-identical to calling Process on each packet in order (same ranks,
+// same stats, same metrics, same drop decisions). It returns the number
+// of packets kept: ps[:kept] holds them in their original relative order,
+// ps[kept:] the dropped packets (unknown tenant under UnknownDrop), also
+// in order, for the caller to release. Steady state allocates nothing.
+func (pp *Preprocessor) ApplyBatch(ps []*pkt.Packet) int {
 	kept := 0
 	for _, p := range ps {
 		if pp.Process(p) {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"qvisor/internal/obs"
@@ -11,11 +13,12 @@ import (
 	"qvisor/internal/rank"
 )
 
-// Satellite tests for the batched pre-processor path: ApplyBatch must be
-// byte-identical to calling Process on each packet in order — same output
-// ranks, same stats counters, same drop decisions — across every
-// UnknownTenantAction, on both the dense flat table and the sparse-tenant
-// fallback, and regardless of where batch boundaries fall.
+// Tests for the batched pre-processor path: ApplyBatch must be
+// byte-identical to calling Process on each packet in order, and both to
+// Transform.Apply straight from the joint policy — same output ranks, same
+// stats counters, same metric series, same drop decisions — across every
+// UnknownTenantAction, on both the dense flat table and the ID-to-slot map
+// of a sparse tenant range, and regardless of where batch boundaries fall.
 
 // batchPolicy synthesizes a policy exercising every flat-table regime:
 // weighted sharing (Weight > 1), a strict tier, a single-level tenant
@@ -36,7 +39,7 @@ func batchPolicy(t testing.TB) *JointPolicy {
 }
 
 // sparsePolicy has tenant IDs far enough apart that buildFlatTable refuses
-// a dense table, forcing the per-packet fallback.
+// a dense table and indexes the slots through its ID-to-slot map.
 func sparsePolicy(t *testing.T) *JointPolicy {
 	t.Helper()
 	tenants := []*Tenant{
@@ -91,9 +94,65 @@ func copyPackets(ps []*pkt.Packet) []*pkt.Packet {
 	return out
 }
 
-// referenceBatch is the spec: per-packet Process with ApplyBatch's
-// kept/dropped compaction contract.
-func referenceBatch(pp *Preprocessor, ps []*pkt.Packet) int {
+// specBatch is the contract every rewrite path must meet, written
+// without the flat table: Transform.Apply per packet straight from
+// jp.Transforms, the unknown-tenant action, and ApplyBatch's kept/dropped
+// compaction. With reg non-nil it also counts into reg the series an
+// instrumented pre-processor exports, registering every tenant's series
+// up front as EnableMetrics does.
+func specBatch(jp *JointPolicy, action UnknownTenantAction, reg *obs.Registry, ps []*pkt.Packet) (int, PreprocStats) {
+	var st PreprocStats
+	series := func(id pkt.TenantID) (*obs.Counter, *obs.Counter, *obs.Histogram) {
+		l := obs.L("tenant", fmt.Sprintf("tenant-%d", id))
+		return reg.Counter(MetricPreprocProcessed, "", l), reg.Counter(MetricPreprocClamped, "", l),
+			reg.Histogram(MetricPreprocRankShift, "", l)
+	}
+	unknown := reg.Counter(MetricPreprocUnknown, "")
+	for id := range jp.Transforms {
+		series(id)
+	}
+	kept := 0
+	var dropped []*pkt.Packet
+	for _, p := range ps {
+		tr, ok := jp.Transforms[p.Tenant]
+		if !ok {
+			st.Unknown++
+			unknown.Inc()
+			if action == UnknownDrop {
+				dropped = append(dropped, p)
+				continue
+			}
+			if action == UnknownWorst {
+				p.Rank = jp.Output.Hi + 1
+			}
+			ps[kept] = p
+			kept++
+			continue
+		}
+		processed, clamped, shift := series(p.Tenant)
+		in := p.Rank
+		p.Rank = tr.Apply(in)
+		st.Processed++
+		processed.Inc()
+		if in < tr.Lo || in > tr.Hi {
+			st.Clamped++
+			clamped.Inc()
+		}
+		if d := p.Rank - in; d < 0 {
+			shift.Observe(-d)
+		} else {
+			shift.Observe(d)
+		}
+		ps[kept] = p
+		kept++
+	}
+	copy(ps[kept:], dropped)
+	return kept, st
+}
+
+// processEach is ApplyBatch's contract spelled out over Process: one call
+// per packet in order, with the kept/dropped compaction.
+func processEach(pp *Preprocessor, ps []*pkt.Packet) int {
 	kept := 0
 	var dropped []*pkt.Packet
 	for _, p := range ps {
@@ -108,82 +167,101 @@ func referenceBatch(pp *Preprocessor, ps []*pkt.Packet) int {
 	return kept
 }
 
+// seriesValues is reg's snapshot without help strings, so registries
+// that registered the same series under different help text compare equal.
+func seriesValues(reg *obs.Registry) []obs.FamilySnapshot {
+	fams := reg.Snapshot().Families
+	for i := range fams {
+		fams[i].Help = ""
+	}
+	return fams
+}
+
+// checkBatch runs one seeded packet mix three ways — ApplyBatch, Process
+// per packet, and specBatch — and fails on any difference in kept count,
+// packet order, ranks, stats, or (when instrumented) metric series.
+func checkBatch(t *testing.T, jp *JointPolicy, action UnknownTenantAction, seed int64, n int, instrumented bool) {
+	t.Helper()
+	batch := NewPreprocessor(jp, action)
+	each := NewPreprocessor(jp, action)
+	var batchReg, eachReg, specReg *obs.Registry
+	if instrumented {
+		batchReg, eachReg, specReg = obs.NewRegistry(), obs.NewRegistry(), obs.NewRegistry()
+		batch.EnableMetrics(batchReg, nil)
+		each.EnableMetrics(eachReg, nil)
+	}
+	ps := mixPackets(jp, rand.New(rand.NewSource(seed)), n)
+	eachPs, specPs := copyPackets(ps), copyPackets(ps)
+
+	kept := batch.ApplyBatch(ps)
+	keptEach := processEach(each, eachPs)
+	keptSpec, stSpec := specBatch(jp, action, specReg, specPs)
+
+	if kept != keptEach || kept != keptSpec {
+		t.Fatalf("%v seed %d: kept %d, Process kept %d, spec kept %d", action, seed, kept, keptEach, keptSpec)
+	}
+	for i := range ps {
+		if ps[i].ID != eachPs[i].ID || ps[i].Rank != eachPs[i].Rank ||
+			ps[i].ID != specPs[i].ID || ps[i].Rank != specPs[i].Rank {
+			t.Fatalf("%v seed %d: packet[%d] = id %d rank %d, Process id %d rank %d, spec id %d rank %d",
+				action, seed, i, ps[i].ID, ps[i].Rank, eachPs[i].ID, eachPs[i].Rank, specPs[i].ID, specPs[i].Rank)
+		}
+	}
+	if batch.Stats() != each.Stats() || batch.Stats() != stSpec {
+		t.Fatalf("%v seed %d: stats %+v, Process %+v, spec %+v", action, seed, batch.Stats(), each.Stats(), stSpec)
+	}
+	if instrumented {
+		got := seriesValues(batchReg)
+		if want := seriesValues(eachReg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v seed %d: series %+v, Process %+v", action, seed, got, want)
+		}
+		if want := seriesValues(specReg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v seed %d: series %+v, spec %+v", action, seed, got, want)
+		}
+	}
+}
+
+var allActions = []UnknownTenantAction{UnknownWorst, UnknownPass, UnknownDrop}
+
 // TestApplyBatchMatchesProcess: differential check across every unknown-
-// tenant action and several seeds — the batched fast path must reproduce
-// the per-packet path exactly (ranks, order, drop set, stats).
+// tenant action and several seeds — the batched path must reproduce the
+// per-packet path and Transform.Apply exactly (ranks, order, drop set,
+// stats).
 func TestApplyBatchMatchesProcess(t *testing.T) {
 	jp := batchPolicy(t)
-	if buildFlatTable(jp) == nil {
-		t.Fatal("batchPolicy unexpectedly fell back to the sparse path")
+	if buildFlatTable(jp, nil, nil).index != nil {
+		t.Fatal("batchPolicy unexpectedly got a sparse table")
 	}
-	for _, action := range []UnknownTenantAction{UnknownWorst, UnknownPass, UnknownDrop} {
+	for _, action := range allActions {
 		for seed := int64(1); seed <= 4; seed++ {
-			got := NewPreprocessor(jp, action)
-			want := NewPreprocessor(jp, action)
-			ps := mixPackets(jp, rand.New(rand.NewSource(seed)), 500)
-			ref := copyPackets(ps)
-
-			keptGot := got.ApplyBatch(ps)
-			keptWant := referenceBatch(want, ref)
-
-			if keptGot != keptWant {
-				t.Fatalf("%v seed %d: kept %d, want %d", action, seed, keptGot, keptWant)
-			}
-			for i := range ps {
-				if ps[i].ID != ref[i].ID || ps[i].Rank != ref[i].Rank {
-					t.Fatalf("%v seed %d: packet[%d] = id %d rank %d, want id %d rank %d",
-						action, seed, i, ps[i].ID, ps[i].Rank, ref[i].ID, ref[i].Rank)
-				}
-			}
-			if got.Stats() != want.Stats() {
-				t.Fatalf("%v seed %d: stats %+v, want %+v", action, seed, got.Stats(), want.Stats())
-			}
+			checkBatch(t, jp, action, seed, 500, false)
 		}
 	}
 }
 
-// TestApplyBatchSparseFallback: a sparse tenant-ID range disables the dense
-// table; ApplyBatch must still match Process exactly via the fallback.
+// TestApplyBatchSparseFallback: a sparse tenant-ID range replaces the
+// dense index with the ID-to-slot map; ApplyBatch must still match
+// Process and Transform.Apply exactly, with and without metrics.
 func TestApplyBatchSparseFallback(t *testing.T) {
 	jp := sparsePolicy(t)
-	pp := NewPreprocessor(jp, UnknownDrop)
-	if pp.flat != nil {
-		t.Fatalf("flat table built over tenant span %d, want sparse fallback", maxFlatTenantSpan)
+	if ft := buildFlatTable(jp, nil, nil); ft.index == nil || len(ft.slots) != len(jp.Transforms) {
+		t.Fatalf("table over tenant span %d: index %v, %d slots; want an ID-to-slot map over %d slots",
+			maxFlatTenantSpan, ft.index, len(ft.slots), len(jp.Transforms))
 	}
-	want := NewPreprocessor(jp, UnknownDrop)
-	ps := mixPackets(jp, rand.New(rand.NewSource(7)), 300)
-	ref := copyPackets(ps)
-	kept := pp.ApplyBatch(ps)
-	keptWant := referenceBatch(want, ref)
-	if kept != keptWant {
-		t.Fatalf("kept %d, want %d", kept, keptWant)
-	}
-	for i := range ps {
-		if ps[i].ID != ref[i].ID || ps[i].Rank != ref[i].Rank {
-			t.Fatalf("packet[%d] = id %d rank %d, want id %d rank %d",
-				i, ps[i].ID, ps[i].Rank, ref[i].ID, ref[i].Rank)
-		}
-	}
-	if pp.Stats() != want.Stats() {
-		t.Fatalf("stats %+v, want %+v", pp.Stats(), want.Stats())
+	for _, action := range allActions {
+		checkBatch(t, jp, action, 7, 300, false)
+		checkBatch(t, jp, action, 7, 300, true)
 	}
 }
 
-// TestApplyBatchInstrumentedFallback: an instrumented pre-processor must
-// keep its per-tenant counters exact, so ApplyBatch falls back to Process.
-func TestApplyBatchInstrumentedFallback(t *testing.T) {
+// TestApplyBatchInstrumented: with metrics on, ApplyBatch stays on the
+// flat table and its per-tenant counters, rank-shift histograms and
+// unknown counter equal both a per-packet Process run and Transform.Apply.
+func TestApplyBatchInstrumented(t *testing.T) {
 	jp := batchPolicy(t)
-	pp := NewPreprocessor(jp, UnknownWorst)
-	pp.EnableMetrics(obs.NewRegistry(), nil)
-	want := NewPreprocessor(jp, UnknownWorst)
-	ps := mixPackets(jp, rand.New(rand.NewSource(11)), 200)
-	ref := copyPackets(ps)
-	if kept := pp.ApplyBatch(ps); kept != referenceBatch(want, ref) {
-		t.Fatal("instrumented batch diverged from reference in kept count")
-	}
-	for i := range ps {
-		if ps[i].Rank != ref[i].Rank {
-			t.Fatalf("packet[%d] rank %d, want %d", i, ps[i].Rank, ref[i].Rank)
+	for _, action := range allActions {
+		for seed := int64(11); seed <= 13; seed++ {
+			checkBatch(t, jp, action, seed, 400, true)
 		}
 	}
 }
@@ -234,14 +312,44 @@ func TestAllocBudgetPreprocBatch(t *testing.T) {
 	}
 }
 
-// BenchmarkPreprocBatch measures the batched path against the equivalent
-// per-packet Process loop over the same 256-packet batch.
+// TestAllocBudgetPreprocBatchInstrumented pins the batched pre-processor
+// with metrics on at 0 allocs per batch: the per-tenant handles sit in the
+// flat table's slots, so counting takes no lookup and no allocation.
+func TestAllocBudgetPreprocBatchInstrumented(t *testing.T) {
+	jp := batchPolicy(t)
+	pp := NewPreprocessor(jp, UnknownDrop)
+	pp.EnableMetrics(obs.NewRegistry(), nil)
+	ps := mixPackets(jp, rand.New(rand.NewSource(31)), 256)
+	batch := make([]*pkt.Packet, len(ps))
+	run := func() {
+		copy(batch, ps)
+		pp.ApplyBatch(batch)
+	}
+	run() // warm the drop scratch
+	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+		t.Fatalf("instrumented ApplyBatch allocates %.1f times per batch, want 0", avg)
+	}
+}
+
+// BenchmarkPreprocBatch measures the batched path, without and with
+// metrics, against the equivalent per-packet Process loop over the same
+// 256-packet batch.
 func BenchmarkPreprocBatch(b *testing.B) {
 	jp := batchPolicy(b)
 	ps := mixPackets(jp, rand.New(rand.NewSource(41)), 256)
 	batch := make([]*pkt.Packet, len(ps))
 	b.Run("batch", func(b *testing.B) {
 		pp := NewPreprocessor(jp, UnknownWorst)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(batch, ps)
+			pp.ApplyBatch(batch)
+		}
+	})
+	b.Run("batch-metrics", func(b *testing.B) {
+		pp := NewPreprocessor(jp, UnknownWorst)
+		pp.EnableMetrics(obs.NewRegistry(), nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

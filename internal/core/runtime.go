@@ -132,6 +132,11 @@ type Controller struct {
 	resynth   *Resynthesizer
 	epochs    *EpochStore
 	obs       *controllerObs
+
+	// names maps each tenant ID of the deployed policy to its tenant's
+	// name. Only a successful publish rewrites it, so a failed mutation
+	// leaves it describing the policy still in force.
+	names map[pkt.TenantID]string
 }
 
 // EpochDeploy configures per-epoch deployment (ControllerOptions).
@@ -225,6 +230,7 @@ func NewController(tenants []*Tenant, spec *policy.Spec, opts ControllerOptions)
 		quarantined: make(map[string]bool),
 		lastCount:   make(map[string]uint64),
 		active:      make(map[string]bool),
+		names:       make(map[pkt.TenantID]string),
 		resynth:     NewResynthesizer(opts.Synth),
 		epochs:      NewEpochStore(UnknownWorst),
 		obs:         newControllerObs(opts.Metrics),
@@ -250,13 +256,11 @@ func NewController(tenants []*Tenant, spec *policy.Spec, opts ControllerOptions)
 // nil when uninstrumented. The API server exposes it at GET /v1/metrics.
 func (c *Controller) Registry() *obs.Registry { return c.opts.Metrics }
 
-// tenantName maps a tenant ID back to its registered name for metric
-// labels; unregistered IDs fall back to a synthetic name.
+// tenantName maps a tenant ID of the deployed policy back to its name for
+// metric labels; other IDs fall back to a synthetic name.
 func (c *Controller) tenantName(id pkt.TenantID) string {
-	for name, t := range c.tenants {
-		if t.ID == id {
-			return name
-		}
+	if name, ok := c.names[id]; ok {
+		return name
 	}
 	return fmt.Sprintf("tenant-%d", id)
 }
@@ -273,12 +277,9 @@ func (c *Controller) Monitor(name string) *Monitor { return c.monitors[name] }
 // Observe records a rank emitted by a tenant (before transformation). The
 // simulator calls this from the pre-processor path.
 func (c *Controller) Observe(tenant pkt.TenantID, r int64) {
-	for name, t := range c.tenants {
-		if t.ID == tenant {
-			if m := c.monitors[name]; m != nil {
-				m.Observe(r)
-			}
-			return
+	if name, ok := c.names[tenant]; ok {
+		if m := c.monitors[name]; m != nil {
+			m.Observe(r)
 		}
 	}
 }
@@ -318,9 +319,10 @@ func (c *Controller) compile() (*JointPolicy, error) {
 	return jp, nil
 }
 
-// publish compiles the optional per-epoch deployment and installs jp as
-// the next policy generation. On deployment failure the version bump is
-// rolled back so epoch generations stay aligned with Version.
+// publish compiles the optional per-epoch deployment, installs jp as the
+// next policy generation, and re-indexes tenant names by ID for it. On
+// deployment failure the version bump is rolled back so epoch generations
+// stay aligned with Version.
 func (c *Controller) publish(jp *JointPolicy) error {
 	var d *Deployment
 	if ed := c.opts.EpochDeploy; ed != nil {
@@ -332,6 +334,10 @@ func (c *Controller) publish(jp *JointPolicy) error {
 		}
 	}
 	c.epochs.Publish(jp, d)
+	clear(c.names)
+	for name, t := range c.tenants {
+		c.names[t.ID] = name
+	}
 	return nil
 }
 

@@ -298,7 +298,11 @@ func sortLabels(labels []Label) []Label {
 // type conflict — registering the same name as two different instrument
 // kinds is a programming error, as in the Prometheus client.
 func (r *Registry) lookup(name, help string, typ metricType, labels []Label) *series {
-	labels = sortLabels(labels)
+	// Most series carry zero or one label, which need no sorted copy; a
+	// new series copies the caller's slice below instead.
+	if len(labels) > 1 {
+		labels = sortLabels(labels)
+	}
 	sig := signature(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -315,7 +319,7 @@ func (r *Registry) lookup(name, help string, typ metricType, labels []Label) *se
 	}
 	s, ok := f.series[sig]
 	if !ok {
-		s = &series{labels: labels, sig: sig}
+		s = &series{labels: append([]Label(nil), labels...), sig: sig}
 		switch typ {
 		case typeCounter:
 			s.c = &Counter{}

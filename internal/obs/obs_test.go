@@ -66,6 +66,42 @@ func TestRegistryDedup(t *testing.T) {
 	}
 }
 
+// TestRegistryLabelOrder: every permutation of a label set names one
+// series, zero- and one-label series included, and a series keeps its
+// own copy of the labels it was registered with.
+func TestRegistryLabelOrder(t *testing.T) {
+	r := NewRegistry()
+	set := []Label{L("a", "1"), L("b", "2"), L("c", "3")}
+	for n := 0; n <= len(set); n++ {
+		want := r.Histogram("order", "", set[:n]...)
+		perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+		for _, perm := range perms {
+			var ls []Label
+			for _, i := range perm {
+				if i < n {
+					ls = append(ls, set[i])
+				}
+			}
+			if got := r.Histogram("order", "", ls...); got != want {
+				t.Fatalf("%d labels in order %v named a second series", n, perm)
+			}
+		}
+	}
+	ls := []Label{L("tenant", "x")}
+	r.Counter("kept_total", "", ls...).Inc()
+	ls[0].Value = "y"
+	fams := r.Snapshot().Families
+	for _, f := range fams {
+		if f.Name == "kept_total" {
+			if got := f.Metrics[0].Labels["tenant"]; len(f.Metrics) != 1 || got != "x" {
+				t.Fatalf("series labels follow the caller's slice: %+v", f.Metrics)
+			}
+			return
+		}
+	}
+	t.Fatal("kept_total missing from the snapshot")
+}
+
 func TestRegistryTypeConflictPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("clash", "")
