@@ -64,6 +64,7 @@ type sendFlow struct {
 	state      []uint8
 	retxQueue  []int
 	nextUnsent int
+	una        int // first unacked index: every packet below it is acked
 	inflight   int
 	nAcked     int
 	timer      sim.Handle
@@ -243,12 +244,13 @@ func (sf *sendFlow) armTimer(now sim.Time) {
 
 // onRTO requeues every in-flight packet for retransmission: the standard
 // coarse recovery of packet-level simulators (dropped packets are simply
-// never acked).
+// never acked). The scan starts at una, since nothing below it is in
+// flight.
 func (sf *sendFlow) onRTO(now sim.Time) {
 	if sf.completed {
 		return
 	}
-	for idx := 0; idx < sf.nextUnsent; idx++ {
+	for idx := sf.una; idx < sf.nextUnsent; idx++ {
 		if sf.state[idx] == stInflight {
 			sf.state[idx] = stQueued
 			sf.retxQueue = append(sf.retxQueue, idx)
@@ -270,6 +272,9 @@ func (sf *sendFlow) onAck(now sim.Time, idx int) {
 	}
 	sf.state[idx] = stAcked
 	sf.nAcked++
+	for sf.una < sf.npkts && sf.state[sf.una] == stAcked {
+		sf.una++
+	}
 	if sf.nAcked == sf.npkts {
 		sf.complete(now)
 		return

@@ -147,7 +147,9 @@ func (pt *Port) kick(now sim.Time) {
 	pt.net.eng.After(tx, pt.txDone)
 }
 
-// pktRing is a growable FIFO of packets on the wire.
+// pktRing is a growable FIFO of packets on the wire. Its buffer starts at
+// 4 and only ever doubles, so its length is always a power of two and
+// indices wrap with a mask; keep it that way if the growth rule changes.
 type pktRing struct {
 	buf  []*pkt.Packet
 	head int
@@ -158,12 +160,12 @@ func (r *pktRing) push(p *pkt.Packet) {
 	if r.n == len(r.buf) {
 		next := make([]*pkt.Packet, maxInt(4, 2*len(r.buf)))
 		for i := 0; i < r.n; i++ {
-			next[i] = r.buf[(r.head+i)%len(r.buf)]
+			next[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 		}
 		r.buf = next
 		r.head = 0
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = p
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
 	r.n++
 }
 
@@ -173,7 +175,7 @@ func (r *pktRing) pop() *pkt.Packet {
 	}
 	p := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return p
 }

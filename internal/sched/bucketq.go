@@ -2,8 +2,8 @@ package sched
 
 import (
 	"fmt"
-	"math/bits"
 
+	"qvisor/internal/ffs"
 	"qvisor/internal/pkt"
 )
 
@@ -12,10 +12,10 @@ import (
 // structure QVISOR's §3.4 "existing schedulers" family points at for
 // software line rate). Ranks are quantized into fixed-width buckets over a
 // circular horizon; each bucket keeps a FIFO chain of pooled nodes, and a
-// two-level uint64 occupancy bitmap finds the lowest non-empty bucket with
-// two TrailingZeros64 instructions, so enqueue and dequeue are O(1)
-// regardless of backlog — the heap-based PIFO pays O(log n) per operation
-// at the same job.
+// two-level uint64 occupancy bitmap (internal/ffs) finds the lowest
+// non-empty bucket with two TrailingZeros64 instructions, so enqueue and
+// dequeue are O(1) regardless of backlog — the heap-based PIFO pays
+// O(log n) per operation at the same job.
 //
 // Approximation contract (checked differentially by internal/conform):
 // dequeue order is exact up to rank quantization — packets leave in
@@ -33,9 +33,8 @@ type BucketQ struct {
 	cur  int   // physical index of the bucket holding rank base
 	base int64 // smallest rank mapped to the bucket at cur
 
-	head, tail []*bqNode // per-bucket FIFO chains, physical index
-	words      []uint64  // occupancy bitmap: bit i of words[i>>6] = bucket i non-empty
-	summary    uint64    // level-2 bitmap: bit w = words[w] != 0
+	head, tail []*bqNode  // per-bucket FIFO chains, physical index
+	occ        ffs.Bitmap // bit i set = bucket i non-empty
 
 	// Overflow FIFO for ranks at or beyond base + nb*width, with the
 	// minimum queued rank tracked so rebasing lands the earliest overflow
@@ -57,9 +56,8 @@ type bqNode struct {
 	next *bqNode
 }
 
-// maxBucketQBuckets bounds the ring so the two-level bitmap (64 words of
-// 64 bits) always covers it.
-const maxBucketQBuckets = 64 * 64
+// maxBucketQBuckets bounds the ring so the occupancy bitmap covers it.
+const maxBucketQBuckets = ffs.Size
 
 // NewBucketQ returns a bucket queue with n buckets of the given rank
 // width. It panics if n < 1, n > 4096, or width < 1.
@@ -76,7 +74,6 @@ func NewBucketQ(cfg Config, n int, width int64) *BucketQ {
 		width: width,
 		head:  make([]*bqNode, n),
 		tail:  make([]*bqNode, n),
-		words: make([]uint64, (n+63)/64),
 	}
 }
 
@@ -149,27 +146,11 @@ func (q *BucketQ) fileNode(n *bqNode) {
 	n.next = nil
 	if q.tail[i] == nil {
 		q.head[i] = n
-		q.words[i>>6] |= 1 << uint(i&63)
-		q.summary |= 1 << uint(i>>6)
+		q.occ.Set(i)
 	} else {
 		q.tail[i].next = n
 	}
 	q.tail[i] = n
-}
-
-// findFirst returns the lowest occupied physical bucket index ≥ start, or
-// -1 when none: one masked TrailingZeros64 over the word holding start,
-// then one over the summary for the words above it.
-func (q *BucketQ) findFirst(start int) int {
-	w := start >> 6
-	if masked := q.words[w] &^ (uint64(1)<<uint(start&63) - 1); masked != 0 {
-		return w<<6 + bits.TrailingZeros64(masked)
-	}
-	if rest := q.summary &^ (uint64(1)<<uint(w+1) - 1); rest != 0 {
-		w = bits.TrailingZeros64(rest)
-		return w<<6 + bits.TrailingZeros64(q.words[w])
-	}
-	return -1
 }
 
 // Dequeue implements Scheduler: pop the FIFO head of the lowest occupied
@@ -179,14 +160,14 @@ func (q *BucketQ) Dequeue() *pkt.Packet {
 	if q.count == 0 {
 		return nil
 	}
-	idx := q.findFirst(q.cur)
+	idx := q.occ.FindFirst(q.cur)
 	if idx >= 0 {
 		q.base += int64(idx-q.cur) * q.width
-	} else if idx = q.findFirst(0); idx >= 0 {
+	} else if idx = q.occ.FindFirst(0); idx >= 0 {
 		q.base += int64(q.nb-q.cur+idx) * q.width
 	} else {
 		q.rebase()
-		idx = q.findFirst(0) // rebase files the earliest overflow rank into bucket 0
+		idx = q.occ.FindFirst(0) // rebase files the earliest overflow rank into bucket 0
 	}
 	q.cur = idx
 
@@ -194,10 +175,7 @@ func (q *BucketQ) Dequeue() *pkt.Packet {
 	q.head[idx] = n.next
 	if n.next == nil {
 		q.tail[idx] = nil
-		q.words[idx>>6] &^= 1 << uint(idx&63)
-		if q.words[idx>>6] == 0 {
-			q.summary &^= 1 << uint(idx>>6)
-		}
+		q.occ.Clear(idx)
 	}
 	p := n.p
 	q.putNode(n)
@@ -260,9 +238,7 @@ func (q *BucketQ) Reset() {
 		}
 		q.head[i], q.tail[i] = nil, nil
 	}
-	for i := range q.words {
-		q.words[i] = 0
-	}
+	q.occ.Reset()
 	for n := q.ovHead; n != nil; {
 		next := n.next
 		q.putNode(n)
@@ -271,7 +247,6 @@ func (q *BucketQ) Reset() {
 	q.ovHead, q.ovTail = nil, nil
 	q.ovMin = 0
 	q.ovCount = 0
-	q.summary = 0
 	q.cur = 0
 	q.base = 0
 	q.count = 0

@@ -23,8 +23,8 @@ import (
 //   - the steady-state hot path allocates nothing (TestAllocBudgetSchedulers
 //     and TestResetRoundTrip cover this via resetCases).
 
-// naiveScan is the obviously-correct reference for findFirst: a linear walk
-// of the per-bucket chain heads.
+// naiveScan is the obviously-correct reference for the occupancy bitmap: a
+// linear walk of the per-bucket chain heads.
 func naiveScan(q *BucketQ, start int) int {
 	for i := start; i < q.nb; i++ {
 		if q.head[i] != nil {
@@ -46,7 +46,7 @@ func TestBucketQFindFirstProperty(t *testing.T) {
 		q := NewBucketQ(Config{CapacityBytes: 1 << 30}, nb, 3)
 		check := func(step int) {
 			for start := 0; start < nb; start++ {
-				if got, want := q.findFirst(start), naiveScan(q, start); got != want {
+				if got, want := q.occ.FindFirst(start), naiveScan(q, start); got != want {
 					t.Fatalf("nb=%d step %d: findFirst(%d)=%d, naive scan says %d",
 						nb, step, start, got, want)
 				}
