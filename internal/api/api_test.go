@@ -94,14 +94,34 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// batchItemCode returns the error code of a batch_failed envelope's
+// first failed item, or "" when err is not one.
+func batchItemCode(err error) string {
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Code != CodeBatchFailed {
+		return ""
+	}
+	for _, it := range ae.Items {
+		if it.Error != nil {
+			return it.Error.Code
+		}
+	}
+	return ""
+}
+
+func join(t TenantInfo) BatchOpInfo { return BatchOpInfo{Op: "join", Tenant: &t} }
+
+func leave(name string) BatchOpInfo { return BatchOpInfo{Op: "leave", Name: name} }
+
 func TestTenantLifecycle(t *testing.T) {
 	c, ctl, _ := newTestServer(t, core.ControllerOptions{})
 	ctx := context.Background()
 
 	// Join a third tenant.
-	err := c.Join(ctx, TenantInfo{
-		Name: "batch", ID: 3, Algorithm: "fq",
-	}, "web >> deadline + batch")
+	_, err := c.Batch(ctx, BatchRequest{
+		Ops:  []BatchOpInfo{join(TenantInfo{Name: "batch", ID: 3, Algorithm: "fq"})},
+		Spec: "web >> deadline + batch",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,32 +141,26 @@ func TestTenantLifecycle(t *testing.T) {
 	}
 
 	// Duplicate join: conflict.
-	err = c.Join(ctx, TenantInfo{Name: "batch", ID: 9, Algorithm: "fq"}, "web >> deadline + batch")
+	_, err = c.Batch(ctx, BatchRequest{
+		Ops:  []BatchOpInfo{join(TenantInfo{Name: "batch", ID: 9, Algorithm: "fq"})},
+		Spec: "web >> deadline + batch",
+	})
 	var ae *APIError
-	if !errors.As(err, &ae) || ae.Status != http.StatusConflict {
-		t.Fatalf("duplicate join err = %v, want 409", err)
+	if !errors.As(err, &ae) || ae.Status != http.StatusConflict || batchItemCode(err) != CodeTenantExists {
+		t.Fatalf("duplicate join err = %v, want 409 with item %s", err, CodeTenantExists)
 	}
 
 	// Leave.
-	if err := c.Leave(ctx, "batch", "web >> deadline"); err != nil {
+	if _, err := c.Batch(ctx, BatchRequest{Ops: []BatchOpInfo{leave("batch")}, Spec: "web >> deadline"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ctl.Policy().TransformOf("batch"); ok {
 		t.Fatal("batch still deployed after leave")
 	}
-	// Leaving again: 404.
-	err = c.Leave(ctx, "batch", "web >> deadline")
-	if !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
-		t.Fatalf("double leave err = %v, want 404", err)
-	}
-	// Leave without spec: 400.
-	resp, err := http.DefaultClient.Do(mustReq(t, http.MethodDelete, srvURL(t, c)+"/v1/tenants/web"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("missing spec: status %d, want 400", resp.StatusCode)
+	// Leaving again: unknown tenant.
+	_, err = c.Batch(ctx, BatchRequest{Ops: []BatchOpInfo{leave("batch")}, Spec: "web >> deadline"})
+	if got := batchItemCode(err); got != CodeUnknownTenant {
+		t.Fatalf("double leave err = %v, want item %s", err, CodeUnknownTenant)
 	}
 }
 
@@ -154,17 +168,24 @@ func TestJoinValidation(t *testing.T) {
 	c, _, _ := newTestServer(t, core.ControllerOptions{})
 	ctx := context.Background()
 	// Unknown algorithm.
-	if err := c.Join(ctx, TenantInfo{Name: "x", ID: 9, Algorithm: "nope"}, "web >> deadline >> x"); err == nil {
+	if _, err := c.Batch(ctx, BatchRequest{
+		Ops:  []BatchOpInfo{join(TenantInfo{Name: "x", ID: 9, Algorithm: "nope"})},
+		Spec: "web >> deadline >> x",
+	}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 	// Bad spec.
-	if err := c.Join(ctx, TenantInfo{Name: "x", ID: 9, Algorithm: "fq"}, "+++"); err == nil {
+	if _, err := c.Batch(ctx, BatchRequest{
+		Ops:  []BatchOpInfo{join(TenantInfo{Name: "x", ID: 9, Algorithm: "fq"})},
+		Spec: "+++",
+	}); err == nil {
 		t.Fatal("bad spec accepted")
 	}
 	// Bounds-only tenant is fine.
-	if err := c.Join(ctx, TenantInfo{
-		Name: "y", ID: 10, Bounds: &BoundsInfo{Lo: 0, Hi: 99},
-	}, "web >> deadline >> y"); err != nil {
+	if _, err := c.Batch(ctx, BatchRequest{
+		Ops:  []BatchOpInfo{join(TenantInfo{Name: "y", ID: 10, Bounds: &BoundsInfo{Lo: 0, Hi: 99}})},
+		Spec: "web >> deadline >> y",
+	}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -250,7 +271,7 @@ func TestCompileEndpoint(t *testing.T) {
 func TestBadJSONRejected(t *testing.T) {
 	_, ctl, ts := newTestServerRaw(t)
 	_ = ctl
-	resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", strings.NewReader("{not json"))
+	resp, err := http.Post(ts.URL+"/v1/tenants:batch", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}

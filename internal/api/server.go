@@ -47,11 +47,9 @@ func NewServer(ctl *core.Controller, clock func() sim.Time) *Server {
 	mux.HandleFunc("PUT /v1/spec", s.handlePutSpec)
 	mux.HandleFunc("PATCH /v1/spec", s.handlePatchSpec)
 	mux.HandleFunc("GET /v1/tenants", s.handleListTenants)
-	mux.HandleFunc("POST /v1/tenants", deprecated("/v1/tenants:batch", s.handleJoin))
 	mux.HandleFunc("POST /v1/tenants:batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/tenants/{name}", s.handleGetTenant)
 	mux.HandleFunc("PUT /v1/tenants/{name}", s.handlePutTenant)
-	mux.HandleFunc("DELETE /v1/tenants/{name}", deprecated("/v1/tenants:batch", s.handleLeave))
 	mux.HandleFunc("GET /v1/tenants/{name}/monitor", s.handleMonitor)
 	mux.HandleFunc("GET /v1/epochs", s.handleEpochs)
 	mux.HandleFunc("POST /v1/check", s.handleCheck)
@@ -126,17 +124,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // of the Code* constants) plus err's message.
 func writeError(w http.ResponseWriter, status int, code string, err error) {
 	writeJSON(w, status, ErrorResponse{Error: ErrorBody{Code: code, Message: err.Error()}})
-}
-
-// deprecated marks a legacy route: the handler still works, but every
-// response carries the standard deprecation headers pointing clients at
-// the successor route.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 func readJSON(r *http.Request, v any) error {
@@ -246,67 +233,6 @@ func (s *Server) handleListTenants(w http.ResponseWriter, r *http.Request) {
 		out = append(out, tenantInfo(t, s.ctl.Flagged(t.Name), s.ctl.Quarantined(t.Name)))
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req JoinRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeParseError, err)
-		return
-	}
-	t, err := req.Tenant.toTenant()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
-	}
-	spec, err := policy.Parse(req.Spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeParseError, err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.checkIfMatch(w, r) {
-		return
-	}
-	if err := s.ctl.Join(s.clock(), t, spec); err != nil {
-		code := CodeSynthFailed
-		if errors.Is(err, core.ErrTenantExists) {
-			code = CodeTenantExists
-		}
-		writeError(w, http.StatusConflict, code, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, tenantInfo(t, false, false))
-}
-
-func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	specText := r.URL.Query().Get("spec")
-	if specText == "" {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			errors.New("api: missing spec query parameter"))
-		return
-	}
-	spec, err := policy.Parse(specText)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeParseError, err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.checkIfMatch(w, r) {
-		return
-	}
-	if err := s.ctl.Leave(s.clock(), name, spec); err != nil {
-		if errors.Is(err, core.ErrTenantNotFound) {
-			writeError(w, http.StatusNotFound, CodeUnknownTenant, err)
-			return
-		}
-		writeError(w, http.StatusConflict, CodeSynthFailed, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {

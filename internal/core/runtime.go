@@ -76,11 +76,6 @@ type ControllerOptions struct {
 	// techniques to "identify such adversarial workloads ... and
 	// automatically stop them").
 	Quarantine bool
-	// FullResynthesis disables the incremental per-tier memoization and
-	// forces every recompilation through a full Synthesize. Off by
-	// default; useful for A/B measurement (the churn benchmark) and as an
-	// escape hatch.
-	FullResynthesis bool
 	// EpochDeploy, if non-nil, compiles each published epoch onto the
 	// given backend so Epoch.Deployment is populated alongside the joint
 	// policy. Without it epochs carry the policy only.
@@ -301,13 +296,7 @@ func (c *Controller) compile() (*JointPolicy, error) {
 			return nil, fmt.Errorf("core: tenant %q missing from operator spec %q", name, c.spec)
 		}
 	}
-	var jp *JointPolicy
-	var err error
-	if c.opts.FullResynthesis {
-		jp, err = Synthesize(list, c.spec, c.opts.Synth)
-	} else {
-		jp, err = c.resynth.Resynthesize(list, c.spec)
-	}
+	jp, err := c.resynth.Resynthesize(list, c.spec)
 	if err != nil {
 		return nil, err
 	}

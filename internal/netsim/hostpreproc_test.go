@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"qvisor/internal/core"
+	"qvisor/internal/pkt"
 	"qvisor/internal/policy"
 	"qvisor/internal/rank"
 	"qvisor/internal/sched"
 	"qvisor/internal/sim"
+	"qvisor/internal/slo"
 	"qvisor/internal/stats"
 	"qvisor/internal/trace"
 	"qvisor/internal/workload"
@@ -72,9 +74,9 @@ func runHostPreproc(t *testing.T, hostPre bool) (Counters, []stats.FlowRecord) {
 }
 
 // TestHostPreprocEquivalence: with full policy coverage and FIFO host
-// uplinks, rewriting ranks at the host NIC (one ApplyBatch per send
-// window) is observationally identical to rewriting them per-packet at
-// the first switch — same counters, same flow-completion records.
+// uplinks, rewriting ranks at the host NIC is observationally identical
+// to rewriting them at the first switch — same counters, same
+// flow-completion records.
 func TestHostPreprocEquivalence(t *testing.T) {
 	switchC, switchF := runHostPreproc(t, false)
 	hostC, hostF := runHostPreproc(t, true)
@@ -105,8 +107,8 @@ func TestHostPreprocDeterminism(t *testing.T) {
 
 // TestHostPreprocTransformAttribution: the flight recorder sees the same
 // (pre-rank → rank) rewrite per packet ID in both deployments; only the
-// location moves from the first switch to the sending host. This pins the
-// cursor-based pre-rank recovery in trySendBatch.
+// location moves from the first switch to the sending host. Both go
+// through Network.rewrite, which records the pre-transform rank.
 func TestHostPreprocTransformAttribution(t *testing.T) {
 	collect := func(hostPre bool) (map[uint64][2]int64, map[uint64]string) {
 		cfg, jp := hostPreprocScenario(t)
@@ -151,11 +153,11 @@ func TestHostPreprocTransformAttribution(t *testing.T) {
 	}
 }
 
-// TestHostPreprocUnknownDrop: a tenant outside the joint policy is
-// rejected by ApplyBatch at the host NIC — an admission drop before the
-// packet spends any uplink capacity. The flow never completes, the
-// transport keeps retrying via RTO, and packet conservation still holds.
-func TestHostPreprocUnknownDrop(t *testing.T) {
+// unknownTenantScenario runs tenant a, which the joint policy covers,
+// beside tenant b, which it does not, under a pre-processor that drops
+// unknown tenants.
+func unknownTenantScenario(t *testing.T) (Config, *core.Preprocessor) {
+	t.Helper()
 	pfA := &rank.PFabric{MaxFlowBytes: 1 << 20}
 	jp, err := core.Synthesize([]*core.Tenant{
 		{ID: 1, Name: "a", Algorithm: pfA},
@@ -163,17 +165,25 @@ func TestHostPreprocUnknownDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pfB := &rank.PFabric{MaxFlowBytes: 1 << 20}
 	cfg := tiny([]TenantDef{
 		{ID: 1, Name: "a", Ranker: pfA, Flows: []workload.FlowSpec{
 			{Start: 0, Src: 0, Dst: 2, Size: 30000},
 		}},
-		{ID: 2, Name: "b", Ranker: pfB, Flows: []workload.FlowSpec{
+		{ID: 2, Name: "b", Ranker: &rank.PFabric{MaxFlowBytes: 1 << 20}, Flows: []workload.FlowSpec{
 			{Start: 0, Src: 1, Dst: 3, Size: 30000},
 		}},
 	}, 10*sim.Millisecond)
 	pp := core.NewPreprocessor(jp, core.UnknownDrop)
 	cfg.Preprocessor = pp
+	return cfg, pp
+}
+
+// TestHostPreprocUnknownDrop: a tenant outside the joint policy is
+// rejected by the rewrite at the host NIC — an admission drop before the
+// packet spends any uplink capacity. The flow never completes, the
+// transport keeps retrying via RTO, and packet conservation still holds.
+func TestHostPreprocUnknownDrop(t *testing.T) {
+	cfg, pp := unknownTenantScenario(t)
 	cfg.HostPreproc = true
 	n, err := New(cfg)
 	if err != nil {
@@ -198,5 +208,37 @@ func TestHostPreprocUnknownDrop(t *testing.T) {
 	}
 	if out := n.Outstanding(); out != 0 {
 		t.Fatalf("outstanding = %d after run, want 0 (host drop leaked)", out)
+	}
+}
+
+// TestWatchdogSeesSwitchAdmissionDrops: a drop outside any port scheduler
+// — here the first switch rejecting an unknown tenant — reaches the
+// watchdog like every other drop. At 1-in-1 sampling its sampled drops,
+// and the tenant's admission drops, equal the network's drop counter.
+func TestWatchdogSeesSwitchAdmissionDrops(t *testing.T) {
+	cfg, _ := unknownTenantScenario(t)
+	w := slo.New(slo.Config{SampleN: 1, Tenants: map[pkt.TenantID]string{1: "a", 2: "b"}})
+	cfg.Watch = w
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run()
+	dropped := n.Counters().Dropped
+	if dropped == 0 {
+		t.Fatal("unknown tenant produced no admission drops")
+	}
+	snap := w.Snapshot()
+	if got := snap.Global.SampledDrops; got != dropped {
+		t.Errorf("watchdog sampled %d drops, network dropped %d", got, dropped)
+	}
+	var admission uint64
+	for _, ts := range snap.Tenants {
+		if ts.Tenant == "b" {
+			admission = ts.Drops[sched.CauseAdmission.String()]
+		}
+	}
+	if admission != dropped {
+		t.Errorf("tenant b admission drops = %d, network dropped %d", admission, dropped)
 	}
 }

@@ -64,14 +64,13 @@ type Config struct {
 	// scheduler.
 	Preprocessor *core.Preprocessor
 	// HostPreproc moves the pre-processor to the sending host's NIC for
-	// data packets: each send window is run through one
-	// Preprocessor.ApplyBatch call (dense-table, branch-free batch path)
-	// before entering the host uplink, instead of per-packet Process at
-	// the first switch — the §3.3 deployment variant where the rank
-	// rewrite happens in the hypervisor/NIC. Unknown-tenant rejections
-	// become admission drops at the host, before the packet spends any
-	// uplink capacity. Acks and CBR datagrams still transform at the
-	// first switch. Ignored without a Preprocessor.
+	// data packets: each data packet is rewritten as the transport builds
+	// it, before entering the host uplink, instead of at the first switch
+	// — the §3.3 deployment variant where the rank rewrite happens in the
+	// hypervisor/NIC. Unknown-tenant rejections become admission drops
+	// at the host, before the packet spends any uplink capacity. Acks and
+	// CBR datagrams still transform at the first switch. Ignored without
+	// a Preprocessor.
 	HostPreproc bool
 	// Epochs, when non-nil, supplies the rank transformation per-packet
 	// from an RCU-style policy-generation store instead of a fixed
@@ -237,7 +236,10 @@ type Counters struct {
 	AcksSent uint64
 	// Delivered counts packets received by their destination host.
 	Delivered uint64
-	// Dropped counts packets dropped by switch queues.
+	// Dropped counts every packet that left the network by drop: port
+	// scheduler drops (tail drops, evictions, injected faults), admission
+	// drops by the rank rewrite at a switch or host, and unroutable
+	// packets.
 	Dropped uint64
 	// CBRSent counts constant-bit-rate packets emitted.
 	CBRSent uint64
@@ -287,15 +289,6 @@ type Network struct {
 type dropKey struct {
 	tenant pkt.TenantID
 	cause  sched.DropCause
-}
-
-// countDrop books one dropped packet network-wide and stages its
-// (tenant, cause) attribution when the network is instrumented.
-func (n *Network) countDrop(t pkt.TenantID, cause sched.DropCause) {
-	n.count.Dropped++
-	if n.dropStage != nil {
-		n.dropStage[dropKey{t, cause}]++
-	}
 }
 
 // tenantName resolves a tenant ID to its configured name for metric
@@ -639,6 +632,52 @@ func (n *Network) FlushMetrics() {
 			n.dropFlushed[k] = v
 		}
 	}
+}
+
+// rewrite applies the rank transformation to p, once per packet: the
+// fixed Preprocessor, or the live policy epoch, which p stays pinned to
+// (p.Epoch) until delivery or drop so control-plane publishes never mix
+// generations mid-flight. The flight recorder sees the transform with
+// the pre-transform rank. A rejection (unknown tenant under UnknownDrop)
+// is an admission drop at where, and rewrite reports false.
+func (n *Network) rewrite(now sim.Time, where string, p *pkt.Packet) bool {
+	if p.Tagged || (n.cfg.Preprocessor == nil && n.cfg.Epochs == nil) {
+		return true
+	}
+	p.Tagged = true
+	pre, kept := p.Rank, true
+	if pp := n.cfg.Preprocessor; pp != nil {
+		kept = pp.Process(p)
+	} else if e := n.cfg.Epochs.Acquire(); e != nil {
+		p.Epoch = e.Gen
+		kept = e.Process(p)
+	} else {
+		return true
+	}
+	if !kept {
+		n.drop(now, where, p, sched.CauseAdmission, nil)
+		return false
+	}
+	n.cfg.Trace.RecordTransform(now, where, p, pre)
+	return true
+}
+
+// drop is the one way a packet leaves the network other than delivery: it
+// books the counter and the (tenant, cause) stage, traces the drop,
+// reports it to the watchdog — through pw, the port's mirror, when a port
+// scheduler dropped p — and releases p.
+func (n *Network) drop(now sim.Time, where string, p *pkt.Packet, cause sched.DropCause, pw *slo.PortWatch) {
+	n.count.Dropped++
+	if n.dropStage != nil {
+		n.dropStage[dropKey{p.Tenant, cause}]++
+	}
+	n.cfg.Trace.RecordDrop(now, where, p, cause.String())
+	if pw != nil {
+		pw.OnDrop(now, p, cause)
+	} else {
+		n.cfg.Watch.OnDrop(now, p, cause)
+	}
+	n.releasePkt(p)
 }
 
 // releasePkt returns a packet to the pool after unpinning it from its

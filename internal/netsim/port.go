@@ -81,15 +81,12 @@ func (n *Network) newPort(role string, id int, name string, rateBps float64, del
 	// The scheduler's drop callback is the single release point for
 	// refused and evicted packets (see the ownership contract on
 	// sched.Scheduler): nothing downstream sees them again. The cause
-	// reported by the scheduler flows into the trace and the per-tenant
-	// drop-cause counters.
+	// reported by the scheduler flows through Network.drop into the
+	// counters, the trace, and the port's watchdog mirror.
 	pt.watch = n.cfg.Watch.PortWatch()
 	drop := sched.DropFn(func(p *pkt.Packet, cause sched.DropCause) {
-		n.countDrop(p.Tenant, cause)
 		pt.drops++
-		n.cfg.Trace.RecordDrop(n.eng.Now(), name, p, cause.String())
-		pt.watch.OnDrop(n.eng.Now(), p, cause)
-		n.releasePkt(p)
+		n.drop(n.eng.Now(), name, p, cause, pt.watch)
 	})
 	pt.arrive = func(now sim.Time) {
 		pt.deliver(now, pt.inflight.pop())

@@ -45,46 +45,19 @@ func newSwitch(n *Network, kind switchKind, id, nports int) *Switch {
 	}
 }
 
-// receive handles an arriving packet: pre-process, route, enqueue. The
-// flight recorder sees the switch arrival, the rank transform (with the
-// pre-transform rank), and any drop the switch itself causes — a
-// pre-processor rejection is an admission drop, an unroutable
-// destination a fault.
+// receive handles an arriving packet: rewrite, route, enqueue. The
+// flight recorder sees the switch arrival, the rank transform, and any
+// drop the switch itself causes — a pre-processor rejection is an
+// admission drop, an unroutable destination a fault.
 func (sw *Switch) receive(now sim.Time, p *pkt.Packet) {
 	n := sw.net
 	n.cfg.Trace.Record(now, trace.KindArrive, sw.name, p)
-	if pp := n.cfg.Preprocessor; pp != nil && !p.Tagged {
-		p.Tagged = true
-		pre := p.Rank
-		if !pp.Process(p) {
-			n.countDrop(p.Tenant, sched.CauseAdmission)
-			n.cfg.Trace.RecordDrop(now, sw.name, p, sched.CauseAdmission.String())
-			n.releasePkt(p)
-			return
-		}
-		n.cfg.Trace.RecordTransform(now, sw.name, p, pre)
-	} else if es := n.cfg.Epochs; es != nil && !p.Tagged {
-		p.Tagged = true
-		// Pin the packet to the live policy generation: its transforms
-		// stay in force for this packet until delivery or drop, even if
-		// the control plane publishes newer epochs meanwhile.
-		if e := es.Acquire(); e != nil {
-			p.Epoch = e.Gen
-			pre := p.Rank
-			if !e.Process(p) {
-				n.countDrop(p.Tenant, sched.CauseAdmission)
-				n.cfg.Trace.RecordDrop(now, sw.name, p, sched.CauseAdmission.String())
-				n.releasePkt(p)
-				return
-			}
-			n.cfg.Trace.RecordTransform(now, sw.name, p, pre)
-		}
+	if !n.rewrite(now, sw.name, p) {
+		return
 	}
 	out := sw.route(p)
 	if out == nil {
-		n.countDrop(p.Tenant, sched.CauseFault)
-		n.cfg.Trace.RecordDrop(now, sw.name, p, sched.CauseFault.String())
-		n.releasePkt(p)
+		n.drop(now, sw.name, p, sched.CauseFault, nil)
 		return
 	}
 	out.send(now, p)
